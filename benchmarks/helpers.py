@@ -1,14 +1,14 @@
 """Shared helpers for the benchmark harness.
 
 Every benchmark module reproduces one figure or quantitative claim of the
-paper (see DESIGN.md's per-experiment index and EXPERIMENTS.md for the
-paper-vs-measured record).  The helpers here keep the modules small: a
-standard way to print a report table (so ``pytest benchmarks/ -s`` shows the
-same rows EXPERIMENTS.md records), to attach the headline numbers to
-``benchmark.extra_info`` (so they survive into pytest-benchmark's output even
-without ``-s``), and to persist every run's headline numbers and timings as
-machine-readable ``BENCH_<experiment>.json`` files so runs are comparable
-with a plain diff (locally across checkouts, or via CI artifacts).
+paper; its module docstring says which (the README's "Benchmarks" section
+has the overview).  The helpers here keep the modules small: a standard way
+to print a report table (so ``pytest <module> -s`` shows the experiment's
+rows), to attach the headline numbers to ``benchmark.extra_info`` (so they
+survive into pytest-benchmark's output even without ``-s``), and to persist
+every run's headline numbers and timings as machine-readable
+``BENCH_<experiment>.json`` files so runs are comparable with a plain diff
+(locally across checkouts, or via CI artifacts).
 
 The JSON files land in ``benchmarks/out/`` (gitignored) by default; set
 ``BENCH_JSON_DIR`` to redirect them, e.g. to a CI artifact directory or to a
@@ -16,13 +16,13 @@ directory kept outside the tree for before/after comparisons.  Writes are
 atomic per file; the merge assumes the usual single-process pytest run.
 
 The *headline* experiments (the perf-regression gates: E16 kernels, E19
-columnar) are additionally mirrored to the repository root as committed
-baselines — ``BENCH_e16.json`` / ``BENCH_e19.json`` / ``BENCH_e20.json`` /
-``BENCH_e22.json`` next to ROADMAP.md — so
-every checkout carries the numbers its CI guards were last green against and
-``git diff`` shows perf drift alongside the code that caused it.  The mirror
-honors ``BENCH_JSON_DIR``: redirected runs still update only their own
-output directory's copy of the file before it is mirrored.
+columnar, E20 observability overhead, E22 profiling overhead) are
+additionally mirrored to the repository root as committed baselines —
+``BENCH_e16.json`` / ``BENCH_e19.json`` / ``BENCH_e20.json`` /
+``BENCH_e22.json`` — so every checkout carries the numbers its CI guards
+were last green against and ``git diff`` shows perf drift alongside the code
+that caused it.  The mirror ignores ``BENCH_JSON_DIR``: a redirected run
+writes its own output directory's file and then copies it to the root too.
 """
 
 from __future__ import annotations

@@ -44,20 +44,50 @@ one-sided recursions does the carry stay small and do the lookups stay
 restricted, which is what the benchmarks measure; pass
 ``require_one_sided=False`` to run it on a many-sided recursion anyway (e.g.
 to reproduce the Section 4 cross-product discussion).
+
+Execution
+---------
+Each ``f`` and ``g`` is a rule body applied to a batch of rows — the carry,
+``seen``, or the single empty row of an initialisation — with some of its
+variables bound from each row: the recursive call's arguments, the head
+columns a forward carry holds, the selection constants, and (as extra bound
+slots passed through untouched) the remembered level-0 columns.  The
+binding is worked out once per recursion and selection shape (constant or
+repeated call arguments become equality checks on the row), the body is
+compiled once per binding shape with :func:`~repro.engine.compile.compile_rule`
+into a module-level :class:`~repro.engine.compile.PlanCache`, and every
+application is one batch call of the plan's generated kernel — so each pass
+of ``while carry not empty`` is one kernel call, not a re-planned join per
+carry tuple.  Selection constants travel as bound-slot values, never as
+compiled-in constants, so point selections reuse the plans of earlier
+queries.  The accounting is that of evaluating each carry tuple on its own:
+one restricted probe per bound row per body atom, and no lookup for walking
+the carry itself, which keeps the Figure 7/8 lookup pins.
+``REPRO_KERNELS=off`` runs the same plans through the interpreted step
+machine.
+
+A forward call argument that nothing binds (not the body, not the selection,
+not the level above) is carried as ``None``, "any value"; such rows run plans
+compiled with that column unbound.  When that variable also fills another
+column of the recursive call the equality cannot be carried, and the schema
+refuses the query with :class:`EvaluationError`.  The exit rules bind the
+call tuple column by column, so a head that repeats a variable constrains
+only recursive derivations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..datalog.atoms import Atom
 from ..datalog.database import Database
 from ..datalog.errors import EvaluationError, NotOneSidedError, ProgramError
-from ..datalog.relation import Relation, Row, Value
+from ..datalog.relation import Relation, Row
 from ..datalog.rules import Program, Rule
 from ..datalog.terms import Constant, Variable, is_variable
-from ..engine.cq_eval import Bindings, evaluate_body
+from ..engine.compile import CompiledRule, PlanCache
+from ..engine.cq_eval import plan_order
 from ..engine.instrumentation import EvaluationStats
 from ..engine.query import QueryResult, SelectionQuery
 from .classify import classify
@@ -165,9 +195,11 @@ class OneSidedSchema:
                 if position in invariant_positions and position not in bound:
                     # the value is only determined at the exit; carry it only when the
                     # nonrecursive body constrains it (e.g. the permission predicate of
-                    # Example 4.1), otherwise drop the column — this is the arity
-                    # reduction of the canonical case.
-                    return head_vars[position] in nonrecursive_body_vars
+                    # Example 4.1) or another head column repeats its variable,
+                    # otherwise drop the column — this is the arity reduction of the
+                    # canonical case.
+                    variable = head_vars[position]
+                    return variable in nonrecursive_body_vars or head_vars.count(variable) > 1
                 return True
 
             carried = tuple(i for i in range(len(head_vars)) if carried_forward(i))
@@ -202,6 +234,15 @@ class OneSidedSchema:
             carried_positions=carried,
             remembered_positions=remembered,
         )
+        if direction == FORWARD and any(
+            call_args.count(call_args[p]) > 1 for p in _nullable_positions(self.plan)
+        ):
+            # a column carried as "any value" would lose its equality with the
+            # other columns of the recursive call holding the same variable
+            raise EvaluationError(
+                f"a variable nothing binds fills several columns of the recursive call "
+                f"of {rule}; the Figure 9 schema cannot carry their equality"
+            )
         self.subsidiary_program = self._collect_subsidiary_program()
 
     def _collect_subsidiary_program(self) -> Optional[Program]:
@@ -260,269 +301,409 @@ class OneSidedSchema:
             stats.stop_timer()
             relations.update(seminaive_evaluate(self.subsidiary_program, database, stats))
             stats.start_timer()
+        stages = _stages(self.plan)
+        run = _Run(relations, tuple(value for _column, value in self.query.bindings), stats)
         if self.plan.direction == BACKWARD:
-            answers = self._run_backward(relations, stats)
+            answers = self._run_backward(stages, run)
         else:
-            answers = self._run_forward(relations, stats)
+            answers = self._run_forward(stages, run)
         stats.extra["carry_arity"] = self.plan.carry_arity
         stats.stop_timer()
         return QueryResult(self.query, answers, stats, strategy=f"one-sided-{self.plan.direction}")
 
-    # ------------------------------------------------------------------
-    # shared helpers
-    # ------------------------------------------------------------------
-    def _bind_consistently(self, pairs: Sequence[Tuple[object, Optional[Value]]]) -> Optional[Bindings]:
-        """Build a binding from (term, value) pairs, failing on conflicts.
+    def _saturate(self, step: "_Stage", run: "_Run", carry: Set[Row]) -> Set[Row]:
+        """Lines 4-8 of Figure 9 from an initial carry; returns ``seen``.
 
-        ``None`` values leave variables unbound; constant terms must match
-        their value.
+        Each pass of ``while carry not empty`` is one batch application of
+        ``f`` to the whole carry.
         """
-        binding: Bindings = {}
-        for term, value in pairs:
-            if value is None:
-                continue
-            if isinstance(term, Constant):
-                if term.value != value:
-                    return None
-                continue
-            assert is_variable(term)
-            existing = binding.get(term)
-            if existing is None:
-                binding[term] = value
-            elif existing != value:
-                return None
-        return binding
-
-    def _head_row(self, binding: Bindings, defaults: Dict[int, Value]) -> Optional[Row]:
-        """Assemble a full answer row from a binding over the head variables."""
-        row: List[Value] = []
-        for position, term in enumerate(self.plan.head_vars):
-            if isinstance(term, Constant):
-                row.append(term.value)
-                continue
-            value = binding.get(term)
-            if value is None:
-                value = defaults.get(position)
-            if value is None:
-                return None
-            row.append(value)
-        return tuple(row)
-
-    def _nonrecursive_body(self) -> List[Atom]:
-        return self.plan.recursive_rule.nonrecursive_atoms()
+        stats = run.stats
+        state_columns = max(1, self.plan.carry_arity)
+        seen = set(carry)
+        stats.record_produced(len(carry))
+        stats.record_state(len(seen), len(seen) * state_columns)
+        while carry:
+            stats.record_iteration()
+            carry = step.run(run, carry) - seen
+            seen |= carry
+            stats.record_produced(len(carry))
+            stats.record_state(len(seen) + len(carry), (len(seen) + len(carry)) * state_columns)
+        return seen
 
     # ------------------------------------------------------------------
     # backward direction (Figure 7 generalization)
     # ------------------------------------------------------------------
-    def _exit_tuples(
-        self,
-        relations: Dict[str, Relation],
-        bindings: Bindings,
-        stats: EvaluationStats,
-    ) -> Set[Row]:
-        """Full t-tuples derivable by one application of an exit rule under ``bindings``."""
-        result: Set[Row] = set()
-        # Only *invariant* selection constants may be pushed into an exit-rule
-        # instance unconditionally: they hold at every recursion depth.  A
-        # constant on a linking column applies to the outermost instance only
-        # and reaches this method through ``bindings`` when appropriate.
-        constants = {
-            position: value
-            for position, value in self.query.bindings
-            if position in self.plan.invariant_positions
-        }
-        for exit_rule in self.plan.exit_rules:
-            exit_binding: Bindings = {}
-            consistent = True
-            for position, term in enumerate(exit_rule.head.args):
-                wanted = bindings.get(self.plan.head_vars[position]) if is_variable(self.plan.head_vars[position]) else None
-                if wanted is None:
-                    wanted = constants.get(position)
-                if wanted is None:
-                    continue
-                if isinstance(term, Constant):
-                    if term.value != wanted:
-                        consistent = False
-                        break
-                    continue
-                existing = exit_binding.get(term)
-                if existing is not None and existing != wanted:
-                    consistent = False
-                    break
-                exit_binding[term] = wanted
-            if not consistent:
-                continue
-            for assignment in evaluate_body(exit_rule.body, relations, exit_binding, stats):
-                row: List[Value] = []
-                grounded = True
-                for position, term in enumerate(exit_rule.head.args):
-                    if isinstance(term, Constant):
-                        row.append(term.value)
-                        continue
-                    value = assignment.get(term)
-                    if value is None:
-                        grounded = False
-                        break
-                    row.append(value)
-                if grounded:
-                    result.add(tuple(row))
-        return result
-
-    def _run_backward(self, relations: Dict[str, Relation], stats: EvaluationStats) -> Set[Row]:
-        plan = self.plan
-        constants = self.query.bindings_dict()
-
-        def carried(row: Row) -> Row:
-            return tuple(row[i] for i in plan.carried_positions)
-
-        def expand(carry_row: Row) -> Dict[int, Value]:
-            values = dict(constants)
-            for offset, position in enumerate(plan.carried_positions):
-                values[position] = carry_row[offset]
-            return values
-
+    def _run_backward(self, stages: "_Stages", run: "_Run") -> Set[Row]:
         # 1-3) init carry, seen, ans: tuples derivable by the exit rules under
-        # the selection, projected onto the carried columns.
-        initial = self._exit_tuples(relations, {}, stats)
-        carry: Set[Row] = {carried(row) for row in initial}
-        seen: Set[Row] = set(carry)
-        stats.record_produced(len(carry))
-        stats.record_state(len(seen), len(seen) * max(1, plan.carry_arity))
-
-        body = self._nonrecursive_body()
-        # 4-8) while carry not empty: apply the recursive rule backwards.
-        while carry:
-            stats.record_iteration()
-            new_carry: Set[Row] = set()
-            for carry_row in carry:
-                call_values = expand(carry_row)
-                binding = self._bind_consistently(
-                    [
-                        (plan.call_args[position], call_values.get(position))
-                        for position in range(len(plan.call_args))
-                    ]
-                )
-                if binding is None:
-                    continue
-                for assignment in evaluate_body(body, relations, binding, stats):
-                    head_row = self._head_row(assignment, defaults=constants)
-                    if head_row is None:
-                        raise EvaluationError(
-                            "the recursive rule does not determine every head column "
-                            "from the recursive call and the nonrecursive body; the "
-                            "Figure 9 schema cannot evaluate this query"
-                        )
-                    if self.query.matches(head_row):
-                        new_carry.add(carried(head_row))
-            carry = new_carry - seen
-            seen |= carry
-            stats.record_produced(len(carry))
-            stats.record_state(len(seen) + len(carry), (len(seen) + len(carry)) * max(1, plan.carry_arity))
-
+        # the selection, projected onto the carried columns; 4-8) apply the
+        # recursive rule backwards until the carry empties.
+        seen = self._saturate(stages.step, run, stages.init.run(run, _NO_ROW))
         # 9) ans := g(seen): re-attach the selection constants.
-        answers: Set[Row] = set()
-        for carry_row in seen:
-            values = expand(carry_row)
-            answers.add(tuple(values[position] for position in range(self.query.arity)))
-        return answers
+        return stages.answer(run, seen)
 
     # ------------------------------------------------------------------
     # forward direction (Figure 8 generalization)
     # ------------------------------------------------------------------
-    def _run_forward(self, relations: Dict[str, Relation], stats: EvaluationStats) -> Set[Row]:
-        plan = self.plan
-        constants = self.query.bindings_dict()
-        body = self._nonrecursive_body()
-
-        def call_state(binding: Bindings) -> Row:
-            values: List[Optional[Value]] = []
-            for position in plan.carried_positions:
-                term = plan.call_args[position]
-                if isinstance(term, Constant):
-                    values.append(term.value)
-                else:
-                    values.append(binding.get(term))
-            return tuple(values)
-
-        def remembered_state(binding: Bindings) -> Row:
-            return tuple(binding.get(plan.head_vars[position]) for position in plan.remembered_positions)
-
-        # 1-3) init: push the selection through the nonrecursive body once to
-        # obtain the recursive-call bindings reachable in one step, and answer
-        # the depth-0 case directly from the exit rules.
-        initial_binding = self._bind_consistently(
-            [(plan.head_vars[position], value) for position, value in constants.items()]
-        )
-        if initial_binding is None:
-            return set()
-
-        answers: Set[Row] = set()
-        for row in self._exit_tuples(relations, initial_binding, stats):
-            if self.query.matches(row):
-                answers.add(row)
-
-        carry: Set[Tuple[Row, Row]] = set()
-        for assignment in evaluate_body(body, relations, initial_binding, stats):
-            carry.add((remembered_state(assignment), call_state(assignment)))
-        seen: Set[Tuple[Row, Row]] = set(carry)
-        stats.record_produced(len(carry))
-        stats.record_state(len(seen), len(seen) * max(1, plan.carry_arity))
-
-        # 4-8) while carry not empty: push the call bindings one level deeper.
-        while carry:
-            stats.record_iteration()
-            new_carry: Set[Tuple[Row, Row]] = set()
-            for remembered, call_values in carry:
-                binding = self._bind_consistently(
-                    [
-                        (plan.head_vars[position], call_values[offset])
-                        for offset, position in enumerate(plan.carried_positions)
-                    ]
-                    + [(plan.head_vars[position], value) for position, value in constants.items()
-                       if position in plan.invariant_positions]
-                )
-                if binding is None:
-                    continue
-                for assignment in evaluate_body(body, relations, binding, stats):
-                    new_carry.add((remembered, call_state(assignment)))
-            carry = new_carry - seen
-            seen |= carry
-            stats.record_produced(len(carry))
-            stats.record_state(len(seen) + len(carry), (len(seen) + len(carry)) * max(1, plan.carry_arity))
-
+    def _run_forward(self, stages: "_Stages", run: "_Run") -> Set[Row]:
+        # 1-3) init: answer the depth-0 case directly from the exit rules, and
+        # push the selection through the nonrecursive body once to obtain the
+        # recursive-call bindings reachable in one step; 4-8) push the call
+        # bindings one level deeper until the carry empties.
+        answers = stages.answer0.run(run, _NO_ROW)
+        seen = self._saturate(stages.step, run, stages.init.run(run, _NO_ROW))
         # 9) ans := g(seen): join the reachable call tuples with the exit rules.
-        for remembered, call_values in seen:
-            call_binding = self._bind_consistently(
-                [
-                    (plan.head_vars[position], call_values[offset])
-                    for offset, position in enumerate(plan.carried_positions)
-                ]
-                + [(plan.head_vars[position], value) for position, value in constants.items()
-                   if position in plan.invariant_positions]
+        return answers | stages.answer(run, seen)
+
+
+# ----------------------------------------------------------------------
+# compiled schema stages (see "Execution" in the module docstring)
+# ----------------------------------------------------------------------
+
+
+class _Arg(NamedTuple):
+    """Where a bound value comes from: ``K[index]`` (a selection constant) or ``row[index]``."""
+
+    constant: bool
+    index: int
+
+
+_Binding = Tuple[Dict[Variable, _Arg], List[Tuple[object, _Arg]]]
+
+
+class _Run:
+    """One evaluation's relations, selection constants and stats, plus the
+    plan each step resolved against those relations (planned once per run)."""
+
+    __slots__ = ("relations", "constants", "stats", "plans")
+
+    def __init__(self, relations: Dict[str, Relation], constants: Row, stats: EvaluationStats) -> None:
+        self.relations = relations
+        self.constants = constants
+        self.stats = stats
+        self.plans: Dict["_Step", CompiledRule] = {}
+
+
+#: compiled plans of every schema, shared across queries (and threads)
+_PLANS = PlanCache(max_plans=1024)
+#: the one row an initialisation step is applied to
+_NO_ROW: Tuple[Row, ...] = ((),)
+
+
+def _bind(pairs: Sequence[Tuple[object, Optional[_Arg]]], checks: Sequence = ()) -> _Binding:
+    """Bind terms to value sources consistently, at compile time.
+
+    ``pairs`` are ``(term, source)`` in binding order; a ``None`` source
+    leaves the term unbound.  A variable's first source binds it; a repeated
+    variable or a constant term becomes an equality check, so a row that
+    would bind inconsistently is dropped before any lookup.
+    """
+    sources: Dict[Variable, _Arg] = {}
+    checks = list(checks)
+    for term, source in pairs:
+        if source is None:
+            continue
+        if isinstance(term, Constant):
+            checks.append((term, source))
+        elif term in sources:
+            checks.append((sources[term], source))
+        else:
+            sources[term] = source
+    return sources, checks
+
+
+def _feeder(sources: Sequence[_Arg], checks: Sequence, width: int):
+    """A generated ``feed(rows, K)`` building each row's bound-slot tuple.
+
+    Rows failing a ``checks`` equality are dropped; checks that involve no
+    row column run once per call.  ``None`` when the rows already are the
+    slot tuples.
+    """
+    if not checks and list(sources) == [_Arg(False, i) for i in range(width)]:
+        return None
+    env: Dict[str, object] = {}
+
+    def ref(item) -> str:
+        if isinstance(item, _Arg):
+            return f"{'K' if item.constant else 'r'}[{item.index}]"
+        env[f"L{len(env)}"] = item.value
+        return f"L{len(env) - 1}"
+
+    def reads_row(check) -> bool:
+        return any(isinstance(item, _Arg) and not item.constant for item in check)
+
+    per_call = " and ".join(f"{ref(a)} == {ref(b)}" for a, b in checks if not reads_row((a, b)))
+    per_row = " and ".join(f"{ref(a)} == {ref(b)}" for a, b in checks if reads_row((a, b)))
+    items = ", ".join(ref(source) for source in sources) + ("," if len(sources) == 1 else "")
+    lines = ["def feed(rows, K):"]
+    if per_call:
+        lines += [f"    if not ({per_call}):", "        return []"]
+    lines.append(f"    return [({items}) for r in rows{' if ' + per_row if per_row else ''}]")
+    exec("\n".join(lines), env)  # noqa: S102 - the source is generated above
+    return env["feed"]
+
+
+class _Step:
+    """One rule body applied to a batch of rows in one compiled-plan call.
+
+    ``output`` is the head the assignments are projected onto.  A term of
+    ``require`` (default: ``output``) that neither the row binding nor the
+    body determines makes the step yield nothing — the join still runs, so
+    its lookups are counted — or, when ``strict``, raise as soon as some
+    assignment exists.
+    """
+
+    __slots__ = ("rule", "bound", "feed", "complete", "strict")
+
+    def __init__(
+        self,
+        name: str,
+        output: Sequence,
+        body: Sequence[Atom],
+        binding: _Binding,
+        width: int,
+        require: Optional[Sequence] = None,
+        strict: bool = False,
+    ) -> None:
+        sources, checks = binding
+        body = tuple(body)
+        body_vars = set().union(*(atom.variable_set() for atom in body))
+        determined = body_vars | set(sources)
+        self.complete = all(
+            not is_variable(term) or term in determined
+            for term in (output if require is None else require)
+        )
+        self.strict = strict
+        needed = body_vars | set(output)
+        self.bound = tuple(sorted((v for v in sources if v in needed), key=sources.__getitem__))
+        self.rule = Rule(Atom(name, tuple(output)), body)
+        self.feed = _feeder([sources[v] for v in self.bound], checks, width)
+
+    def run(self, run: _Run, rows) -> Set[Row]:
+        initials = rows if self.feed is None else self.feed(rows, run.constants)
+        if not initials:
+            return set()
+        plan = run.plans.get(self)
+        if plan is None:
+            # the join order the relations of this run call for (plan_order's
+            # size tie-breaks), compiled once per shape across runs
+            order = tuple(plan_order(self.rule.body, set(self.bound), run.relations))
+            plan = run.plans[self] = _PLANS.get(self.rule, bound=self.bound, order=order)
+        if self.complete:
+            return plan.evaluate_batch(run.relations, initials, run.stats)
+        if plan.join_batch(run.relations, initials, run.stats) and self.strict:
+            raise EvaluationError(
+                "the recursive rule does not determine every head column "
+                "from the recursive call and the nonrecursive body; the "
+                "Figure 9 schema cannot evaluate this query"
             )
-            if call_binding is None:
-                continue
-            for row in self._exit_tuples(relations, call_binding, stats):
-                defaults: Dict[int, Value] = dict(constants)
-                for offset, position in enumerate(plan.remembered_positions):
-                    if remembered[offset] is not None:
-                        defaults[position] = remembered[offset]
-                final: List[Value] = []
-                valid = True
-                for position in range(self.query.arity):
-                    if position in constants:
-                        final.append(constants[position])
-                    elif position in plan.remembered_positions:
-                        value = defaults.get(position)
-                        if value is None:
-                            valid = False
-                            break
-                        final.append(value)
-                    else:
-                        final.append(row[position])
-                if valid:
-                    answers.add(tuple(final))
-        return answers
+        return set()
+
+
+class _Stage:
+    """Steps applied to the same rows (one per exit rule, or the body step).
+
+    A *nullable* stage reads carry rows that may hold ``None`` — a
+    recursive-call column no binding determines, which matches any value —
+    so its rows are grouped by their ``None`` columns and each group runs
+    steps compiled with those columns unbound.
+    """
+
+    def __init__(self, build: Callable[[FrozenSet[int]], List[_Step]], nullable: bool = False) -> None:
+        self._build = build
+        self._nullable = nullable
+        self._steps: Dict[FrozenSet[int], List[_Step]] = {}
+
+    def _for(self, mask: FrozenSet[int]) -> List[_Step]:
+        steps = self._steps.get(mask)
+        if steps is None:
+            steps = self._steps[mask] = self._build(mask)
+        return steps
+
+    def run(self, run: _Run, rows) -> Set[Row]:
+        groups = {frozenset(): rows}
+        if self._nullable:
+            groups = {}
+            for row in rows:
+                mask = frozenset(i for i, value in enumerate(row) if value is None)
+                groups.setdefault(mask, []).append(row)
+        results = [
+            step.run(run, group)
+            for mask, group in groups.items()
+            for step in self._for(mask)
+        ]
+        if len(results) == 1:
+            return results[0]
+        return set().union(*results)
+
+
+class _Stages(NamedTuple):
+    """A compiled schema: initialisation, the loop's f, and g."""
+
+    init: _Stage
+    step: _Stage
+    #: g: ``(run, seen) -> answers``
+    answer: Callable[[_Run, Set[Row]], Set[Row]]
+    #: forward only: the depth-0 answers straight from the exit rules
+    answer0: Optional[_Stage] = None
+
+
+_STAGES: Dict[tuple, _Stages] = {}
+_STAGES_LIMIT = 512
+
+
+def _stages(plan: SchemaPlan) -> _Stages:
+    """The compiled stages for ``plan``'s recursion and selection shape (memoized)."""
+    key = (plan.recursive_rule, tuple(plan.exit_rules), plan.query.bound_columns())
+    stages = _STAGES.get(key)
+    if stages is None:
+        build = _backward_stages if plan.direction == BACKWARD else _forward_stages
+        stages = build(plan)
+        if len(_STAGES) >= _STAGES_LIMIT:
+            _STAGES.clear()
+        _STAGES[key] = stages
+    return stages
+
+
+def _constant_args(plan: SchemaPlan) -> Tuple[Dict[int, _Arg], Dict[int, _Arg]]:
+    """The selection constants by column: all of them, and the invariant ones
+    (which hold at every depth, so they bind exit-rule instances too)."""
+    constant = {column: _Arg(True, k) for k, column in enumerate(plan.query.bound_columns())}
+    return constant, {p: arg for p, arg in constant.items() if p in plan.invariant_positions}
+
+
+def _exit_steps(plan: SchemaPlan, name: str, wanted, output, extra=(), width: int = 0) -> List[_Step]:
+    """One step per exit rule: head column ``p`` bound to ``wanted[p]`` (a
+    value source, or ``None``), assignments projected by ``output(head args)``.
+
+    The exit rule derives the tuple of the call itself, so its columns bind
+    position by position — not through the recursive rule's head variables.
+    """
+    steps = []
+    for exit_rule in plan.exit_rules:
+        args = exit_rule.head.args
+        binding = _bind(list(zip(args, wanted)) + list(extra))
+        steps.append(_Step(name, output(args), exit_rule.body, binding, width, require=args))
+    return steps
+
+
+def _nullable_positions(plan: SchemaPlan) -> Set[int]:
+    """Forward carried positions whose call argument nothing may bind at some depth.
+
+    Such a column is carried as ``None`` ("any value"): neither the
+    nonrecursive body, nor the selection constants, nor the carried columns
+    of the level above determine its variable.
+    """
+    body_vars = set().union(*(atom.variable_set() for atom in plan.recursive_rule.nonrecursive_atoms()))
+    bound = plan.query.bound_columns()
+    always = body_vars | {plan.head_vars[p] for p in bound if p in plan.invariant_positions}
+
+    def unbound(known) -> Set[int]:
+        return {
+            p for p in plan.carried_positions
+            if is_variable(plan.call_args[p]) and plan.call_args[p] not in known
+        }
+
+    nullable = unbound(body_vars | {plan.head_vars[p] for p in bound})  # from depth 0
+    while True:
+        known = always | {plan.head_vars[q] for q in plan.carried_positions if q not in nullable}
+        grown = nullable | unbound(known)
+        if grown == nullable:
+            return nullable
+        nullable = grown
+
+
+def _backward_stages(plan: SchemaPlan) -> _Stages:
+    call_args, carried = plan.call_args, plan.carried_positions
+    # every selected column is invariant here: its constant holds at every depth
+    constant, _invariant = _constant_args(plan)
+    offsets = {position: offset for offset, position in enumerate(carried)}
+    sources = [
+        _Arg(False, offsets[p]) if p in offsets else constant[p] for p in range(len(call_args))
+    ]
+
+    init = _Stage(lambda mask: _exit_steps(
+        plan, "carry", [constant.get(p) for p in range(len(call_args))], lambda args: [args[p] for p in carried]
+    ))
+    step = _Stage(lambda mask: [
+        _Step(
+            "carry",
+            [plan.head_vars[p] for p in carried],
+            plan.recursive_rule.nonrecursive_atoms(),
+            _bind(list(zip(call_args, sources))),
+            len(carried),
+            strict=True,
+        )
+    ])
+    reattach = _feeder(sources, (), len(carried))
+
+    def answer(run: _Run, seen: Set[Row]) -> Set[Row]:
+        return seen if reattach is None else set(reattach(seen, run.constants))
+
+    return _Stages(init, step, answer)
+
+
+def _forward_stages(plan: SchemaPlan) -> _Stages:
+    head_vars, carried, remembered = plan.head_vars, plan.carried_positions, plan.remembered_positions
+    arity, width = len(head_vars), len(carried) + len(remembered)
+    constant, invariant = _constant_args(plan)
+    body = plan.recursive_rule.nonrecursive_atoms()
+    body_vars = set().union(*(atom.variable_set() for atom in body))
+    # rows are the call arguments at the carried positions, then the
+    # remembered level-0 values; fresh variables carry the remembered values
+    # and the selection constants through a step untouched
+    kept = [Variable("$r", p) for p in remembered]
+    kept_pairs = [(var, _Arg(False, len(carried) + j)) for j, var in enumerate(kept)]
+    calls = [plan.call_args[p] for p in carried]
+
+    def undetermined_as_none(output, binding: _Binding):
+        # a call argument nothing binds is carried as None ("any value")
+        determined = body_vars | set(binding[0])
+        return [t if not is_variable(t) or t in determined else Constant(None) for t in output]
+
+    def call_binding(mask) -> List[Tuple[object, Optional[_Arg]]]:
+        return [
+            (head_vars[p], None if offset in mask else _Arg(False, offset))
+            for offset, p in enumerate(carried)
+        ] + [(head_vars[p], arg) for p, arg in invariant.items()]
+
+    level0 = [(head_vars[p], arg) for p, arg in constant.items()]
+    answer0 = _Stage(lambda mask: _exit_steps(
+        plan, "ans", [constant.get(p) for p in range(arity)], lambda args: args
+    ))
+
+    def init_step(mask) -> List[_Step]:
+        binding = _bind(level0)
+        output = undetermined_as_none(calls + [head_vars[p] for p in remembered], binding)
+        return [_Step("carry", output, body, binding, 0)]
+
+    def loop_step(mask) -> List[_Step]:
+        binding = _bind(call_binding(mask) + kept_pairs)
+        return [_Step("carry", undetermined_as_none(calls + kept, binding), body, binding, width)]
+
+    # an answer row takes the selection constants and the remembered values
+    # from the row, every other column from the exit rule's head
+    answered = {p: Variable("$q", p) for p in constant}
+    final_pairs = [(answered[p], arg) for p, arg in constant.items()] + kept_pairs
+    answered.update(zip(remembered, kept))
+
+    def called(mask) -> List[Optional[_Arg]]:
+        # the call tuple a seen row stands for, column by column
+        offsets = {p: offset for offset, p in enumerate(carried) if offset not in mask}
+        return [_Arg(False, offsets[p]) if p in offsets else invariant.get(p) for p in range(arity)]
+
+    nullable = bool(_nullable_positions(plan))
+    answer = _Stage(
+        lambda mask: _exit_steps(
+            plan,
+            "ans",
+            called(mask),
+            lambda args: [answered.get(p, args[p]) for p in range(arity)],
+            final_pairs,
+            width,
+        ),
+        nullable,
+    )
+    return _Stages(_Stage(init_step), _Stage(loop_step, nullable), answer.run, answer0)
 
 
 def one_sided_query(

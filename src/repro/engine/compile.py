@@ -32,12 +32,16 @@ closure per plan (probe keys, equality checks, slot stores and head
 projection inlined into straight-line Python); :meth:`CompiledRule.join` and
 :meth:`CompiledRule.evaluate` dispatch to it whenever kernels are enabled and
 every body relation resolves, and otherwise run the interpreted step machine
-below.  Both paths record identical instrumentation.
+below.  Both paths record identical instrumentation.  Both also take a
+*batch* of bindings for the compile-time bound variables:
+:meth:`CompiledRule.join_batch` and :meth:`CompiledRule.evaluate_batch` run
+many bindings in one kernel call (the Figure 9 schema's whole carry per
+iteration), costing exactly what the bindings cost one at a time.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..datalog.relation import Relation, Row, Value
 from ..datalog.rules import Rule
@@ -215,28 +219,85 @@ class CompiledRule:
         variables declared ``bound`` at compile time; all of them must be
         given.
         """
-        initial = self._initial(bindings)
+        return self._run(False, relations, stats, overrides, (self._initial(bindings),))
+
+    def join_batch(
+        self,
+        relations: RelationMap,
+        initials: Iterable[Tuple[Value, ...]],
+        stats: Optional[EvaluationStats] = None,
+    ) -> List[Tuple[Value, ...]]:
+        """:meth:`join` for many bindings at once, in one kernel call.
+
+        ``initials`` holds one tuple of bound-slot values per binding (in
+        ``initial_slots`` order); the result is the concatenation of the
+        per-binding assignment lists, with identical instrumentation.
+        """
+        return self._run(False, relations, stats, None, initials)
+
+    def evaluate_batch(
+        self,
+        relations: RelationMap,
+        initials: Iterable[Tuple[Value, ...]],
+        stats: Optional[EvaluationStats] = None,
+    ) -> Set[Row]:
+        """Head tuples for every binding in ``initials``, in one kernel call.
+
+        The union of :meth:`evaluate` over the bindings, with the same lookup
+        accounting; produced tuples are left to the caller to count (the
+        Figure 9 schema counts carry tuples, not rule output).
+        """
+        if not self.producible:
+            return set()
+        return self._run(True, relations, stats, None, initials)
+
+    def _run(
+        self,
+        project: bool,
+        relations: RelationMap,
+        stats: Optional[EvaluationStats],
+        overrides: Optional[Mapping[int, Relation]],
+        initials: Iterable[Tuple[Value, ...]],
+    ):
+        """Dispatch one batch to the generated kernel or the step machine."""
         profile = active_profile()
+        detail = ""
         if kernels_enabled():
             resolved = self._resolve(relations, overrides)
             if resolved is not None:
                 if profile is not None:
                     profile.record_dispatch(self, "kernel")
-                return self._kernel(False)(resolved, initial, stats)
+                return self._kernel(project)(resolved, initials, stats)
+            detail = "unresolved body relation"
         if profile is not None:
-            profile.record_dispatch(self, "interpreted")
-        return self._join_interpreted(relations, stats, overrides, initial)
+            profile.record_dispatch(self, "interpreted", detail)
+        assignments = self._join_interpreted(relations, stats, overrides, initials)
+        if not project:
+            return assignments
+        head_ops = self.head_ops
+        return {
+            tuple(value if is_const else assignment[value] for is_const, value in head_ops)
+            for assignment in assignments
+        }
 
     def _join_interpreted(
         self,
         relations: RelationMap,
         stats: Optional[EvaluationStats],
         overrides: Optional[Mapping[int, Relation]],
-        initial: Tuple[Value, ...],
+        initials: Iterable[Tuple[Value, ...]],
     ) -> List[Tuple[Value, ...]]:
-        """The step-machine evaluator (the ``REPRO_KERNELS=off`` path)."""
-        frontier: List[Tuple[Value, ...]] = [initial]
+        """The step-machine evaluator (the ``REPRO_KERNELS=off`` path).
+
+        The frontier starts as the batch of initial bindings, so a batch costs
+        exactly what the same bindings cost one at a time.  A missing body
+        relation records one empty restricted lookup per binding that reaches
+        it and ends the evaluation.
+        """
+        frontier: List[Tuple[Value, ...]] = list(initials)
         for step in self.steps:
+            if not frontier:
+                return []
             relation = None
             if overrides is not None:
                 relation = overrides.get(step.atom_index)
@@ -244,7 +305,7 @@ class CompiledRule:
                 relation = relations.get(step.predicate)
             if relation is None:
                 if stats is not None:
-                    stats.record_lookup(0, restricted=True)
+                    stats.lookups += len(frontier)
                 return []
             next_frontier: List[Tuple[Value, ...]] = []
             probe_columns = step.probe_columns
@@ -280,8 +341,6 @@ class CompiledRule:
                     else:
                         next_frontier.append(current)
             frontier = next_frontier
-            if not frontier:
-                return []
         return frontier
 
     def evaluate(
@@ -294,7 +353,6 @@ class CompiledRule:
         """Head tuples derived by one application of the compiled rule."""
         if not self.producible:
             return set()
-        profile = active_profile()
         if overrides is None and bindings is None and columnar_enabled():
             # worst-case-optimal dispatch: cyclic nonrecursive bodies (e.g.
             # the triangle query) run the leapfrog join, whose tuple visits
@@ -302,6 +360,7 @@ class CompiledRule:
             # intermediate size (see repro.engine.columnar)
             resolved = wcoj_eligible(self, relations)
             if resolved is not None:
+                profile = active_profile()
                 if profile is not None:
                     profile.record_dispatch(
                         self, "leapfrog", "cyclic body, worst-case-optimal"
@@ -310,27 +369,7 @@ class CompiledRule:
                 if stats is not None:
                     stats.record_produced(len(result))
                 return result
-        if kernels_enabled():
-            initial = self._initial(bindings)
-            resolved = self._resolve(relations, overrides)
-            if resolved is not None:
-                if profile is not None:
-                    profile.record_dispatch(self, "kernel")
-                result = self._kernel(True)(resolved, initial, stats)
-                if stats is not None:
-                    stats.record_produced(len(result))
-                return result
-            if profile is not None:
-                profile.record_dispatch(self, "interpreted", "unresolved body relation")
-            assignments = self._join_interpreted(relations, stats, overrides, initial)
-        else:
-            if profile is not None:
-                profile.record_dispatch(self, "interpreted")
-            assignments = self._join_interpreted(relations, stats, overrides, self._initial(bindings))
-        head_ops = self.head_ops
-        result = set()
-        for assignment in assignments:
-            result.add(tuple(value if is_const else assignment[value] for is_const, value in head_ops))
+        result = self._run(True, relations, stats, overrides, (self._initial(bindings),))
         if stats is not None:
             stats.record_produced(len(result))
         return result
@@ -344,6 +383,7 @@ def compile_rule(
     relations: Optional[RelationMap] = None,
     bound: Sequence[Variable] = (),
     first: Optional[int] = None,
+    order: Optional[Sequence[int]] = None,
 ) -> CompiledRule:
     """Compile ``rule`` into a reusable join plan.
 
@@ -361,6 +401,10 @@ def compile_rule(
         Index of a body atom forced to the front of the join order (the
         semi-naive delta occurrence); the remaining atoms are planned greedily
         with that atom's variables counted as bound.
+    order:
+        An explicit join order (body-atom indexes), used instead of planning
+        one — e.g. an order :func:`plan_order` chose against the relations
+        of the evaluation at hand, so a memoized plan keeps its tie-breaks.
     """
     slots: Dict[Variable, int] = {}
     for variable in bound:
@@ -368,7 +412,8 @@ def compile_rule(
             slots[variable] = len(slots)
     initial_slots = tuple(sorted(slots, key=slots.__getitem__))
 
-    order = plan_order(rule.body, set(slots), relations, first=first)
+    if order is None:
+        order = plan_order(rule.body, set(slots), relations, first=first)
 
     steps: List[AtomStep] = []
     for atom_index in order:
@@ -428,16 +473,17 @@ def compile_rule(
 
 
 class PlanCache:
-    """Memoized :func:`compile_rule` keyed on ``(rule, first, bound)``.
+    """Memoized :func:`compile_rule` keyed on ``(rule, first, bound, order)``.
 
-    A compiled plan depends only on the rule, the forced-first atom and the
-    compile-time bound variables — never on relation contents — so callers
-    that evaluate the same rule shapes repeatedly (a fixpoint, an incremental
-    maintenance stream) pay the compilation cost once per shape.
+    A compiled plan depends only on the rule, the forced-first atom, the
+    compile-time bound variables and (when given) the explicit join order —
+    never on relation contents — so callers that evaluate the same rule
+    shapes repeatedly (a fixpoint, an incremental maintenance stream, the
+    Figure 9 schema across queries) pay the compilation cost once per shape.
     """
 
     def __init__(self, max_plans: Optional[int] = None) -> None:
-        self._plans: Dict[Tuple[Rule, Optional[int], Tuple[Variable, ...]], CompiledRule] = {}
+        self._plans: Dict[tuple, CompiledRule] = {}
         #: optional size cap for module-lifetime caches: the cache is cleared
         #: wholesale when full, bounding memory without per-entry bookkeeping
         self._max_plans = max_plans
@@ -449,13 +495,14 @@ class PlanCache:
         first: Optional[int] = None,
         bound: Tuple[Variable, ...] = (),
         stats: Optional[EvaluationStats] = None,
+        order: Optional[Tuple[int, ...]] = None,
     ) -> CompiledRule:
         """The memoized compiled plan; compiles (and counts it) on first use."""
-        key = (rule, first, bound)
+        key = (rule, first, bound, order)
         plan = self._plans.get(key)
         profile = active_profile()
         if plan is None:
-            plan = compile_rule(rule, relations, bound=bound, first=first)
+            plan = compile_rule(rule, relations, bound=bound, first=first, order=order)
             if self._max_plans is not None and len(self._plans) >= self._max_plans:
                 self._plans.clear()
             self._plans[key] = plan

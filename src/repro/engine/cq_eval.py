@@ -1,13 +1,18 @@
-"""Bound-aware conjunctive-query (rule body) evaluation.
+"""Bound-aware conjunctive-query (rule body) evaluation — the reference interpreter.
 
-Every evaluation strategy in the library — naive and semi-naive bottom-up,
-magic sets, counting, and the one-sided schema of Figure 9 — ultimately has to
-evaluate a conjunction of atoms against stored relations with some variables
-already bound.  This module implements that single primitive well:
+Evaluating a conjunction of atoms against stored relations with some
+variables already bound is the primitive under every strategy.  The
+strategies themselves — naive and semi-naive bottom-up, magic sets,
+counting, the one-sided schema of Figure 9 — run it on compiled plans
+(:mod:`repro.engine.compile`, :mod:`repro.engine.kernels`); this module is
+the readable, dictionary-based version of the same semantics, used by the
+expansion-string machinery (proof strings, string evaluation, the
+cross-product rewriting) and as the oracle the tests compare against:
 
-* atoms are joined in a greedy *bound-first* order, so a bound variable or a
-  constant restricts the index probe on the stored relation (this is what
-  makes Property 3, "no unrestricted lookups", achievable and measurable);
+* atoms are joined in a greedy *bound-first* order (:func:`plan_order`, which
+  the compiled plans share), so a bound variable or a constant restricts the
+  index probe on the stored relation (this is what makes Property 3, "no
+  unrestricted lookups", achievable and measurable);
 * every probe is recorded in an :class:`~repro.engine.instrumentation.EvaluationStats`;
 * atoms over predicates that have no relation are treated as empty, so partial
   databases simply yield no derivations instead of crashing.
@@ -30,8 +35,8 @@ RelationMap = Mapping[str, Relation]
 def as_relation(name: str, arity: int, rows: Iterable[Row]) -> Relation:
     """Wrap a transient tuple set into an indexable :class:`Relation`.
 
-    Semi-naive deltas and the carry/seen sets of the one-sided schema are
-    wrapped through this helper so that joins against them stay indexed.
+    Lets a join read a transient tuple set (e.g. a delta) through indexed
+    probes like any stored relation.
     """
     return Relation(name, arity, rows)
 

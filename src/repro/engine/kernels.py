@@ -10,18 +10,26 @@ within-atom equality checks, slot stores and head projection fused inline —
 and ``exec``-compiled into a closure that runs at the speed of the bytecode
 interpreter's tightest loops.
 
-For the delta variant of a transitive-closure rule the generated kernel is
+Every kernel is a *batch* kernel: ``initials`` is an iterable of bound-slot
+tuples (one per binding of the plan's compile-time ``bound`` variables) and
+the fused loop runs once per tuple, so a caller holding many bindings — the
+Figure 9 schema's whole carry — makes one kernel call instead of one per
+binding.  A plan without bound variables takes a single empty tuple.  For
+the delta variant of a transitive-closure rule the generated kernel is
 literally::
 
-    def _kernel(rels, initial, stats):
+    def _kernel(rels, initials, stats):
         ...
-        for row0 in rows0:          # unrestricted scan of the delta
-            s0 = row0[0]
-            s1 = row0[1]
-            rows1 = get1(s0, _E)    # single dict lookup per probe
-            _lk += 1; _ex += len(rows1)
-            for row1 in rows1:
-                out_add((row1[0], s1))
+        for _ in initials:
+            rows0 = scan0
+            _lk += 1; _ur += 1; _ex += nscan0
+            for row0 in rows0:          # unrestricted scan of the delta
+                s0 = row0[0]
+                s1 = row0[1]
+                rows1 = get1(s0, _E)    # single dict lookup per probe
+                _lk += 1; _ex += len(rows1)
+                for row1 in rows1:
+                    out_add((row1[0], s1))
 
 Instrumentation contract
 ------------------------
@@ -88,7 +96,7 @@ def _emit(plan, project: bool) -> Tuple[str, Dict[str, object]]:
     layer consumes assignment multiplicities).
     """
     env: Dict[str, object] = {"_E": ()}
-    lines: List[str] = ["def _kernel(rels, initial, stats):"]
+    lines: List[str] = ["def _kernel(rels, initials, stats):"]
     w = lines.append
     body = "    "
     w(body + "_lk = 0; _ur = 0; _ex = 0")
@@ -99,13 +107,8 @@ def _emit(plan, project: bool) -> Tuple[str, Dict[str, object]]:
         w(body + "out = []")
         w(body + "out_add = out.append")
 
-    initial_count = len(plan.initial_slots)
-    if initial_count:
-        w(body + ", ".join(f"s{i}" for i in range(initial_count))
-          + ("," if initial_count == 1 else "") + " = initial")
-
     # hoists: one index resolution / scan per step, done once per call (the
-    # relations are static for the duration of one rule application)
+    # relations are static for the duration of one batch)
     for i, step in enumerate(plan.steps):
         if step.probe_columns:
             env[f"COLS{i}"] = step.probe_columns
@@ -117,7 +120,14 @@ def _emit(plan, project: bool) -> Tuple[str, Dict[str, object]]:
             w(body + f"scan{i} = rels[{i}].rows()")
             w(body + f"nscan{i} = len(scan{i})")
 
-    depth = body
+    # the batch loop: one pass of the fused join per bound-slot tuple
+    initial_count = len(plan.initial_slots)
+    if initial_count:
+        w(body + "for " + ", ".join(f"s{i}" for i in range(initial_count))
+          + ("," if initial_count == 1 else "") + " in initials:")
+    else:
+        w(body + "for _ in initials:")
+    depth = body + "    "
     for i, step in enumerate(plan.steps):
         if step.probe_columns:
             parts = [

@@ -31,7 +31,13 @@ tuple:
   (:class:`repro.obs.profile.ProfileRecorder`): the resulting profile must
   report the same stats totals, and its dispatch provenance (kernel vs.
   interpreted vs. leapfrog, columnar vs. kernel-loop group decisions) must
-  stay inside the set of paths the pinned mode can actually take.
+  stay inside the set of paths the pinned mode can actually take;
+* **schema** — ``one_sided_query`` (the Figure 9 schema) under the same four
+  execution modes, on every case it applies to: one-sided recursions, and
+  many-sided ones whose unbounded sides the selection all binds (the
+  Section 5 bounded-sides route).  Every mode must return the reference
+  answers with stats totals identical to the interpreted mode's, and its
+  profile must list the schema's compiled plans.
 
 A mismatch produces a report carrying the offending seed, so any failure is
 reproducible with ``generate_case(seed)``.
@@ -40,18 +46,20 @@ reproducible with ``generate_case(seed)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..baselines.counting import counting_query, counting_scope_reason
 from ..baselines.magic import magic_query
-from ..datalog.errors import EvaluationError
+from ..core.classify import selection_covers_unbounded_sides
+from ..core.schema import OneSidedSchema, one_sided_query
+from ..datalog.errors import EvaluationError, ReproError
 from ..datalog.relation import Row
 from ..engine.columnar import columnar_mode
 from ..engine.domain import interning_mode
 from ..engine.instrumentation import EvaluationStats, query_trace
 from ..engine.kernels import kernel_mode
 from ..engine.naive import naive_evaluate
-from ..engine.query import answer
+from ..engine.query import SelectionQuery, answer
 from ..engine.seminaive import (
     DECISION_COLUMNAR_OFF,
     DECISION_FORCED,
@@ -157,6 +165,116 @@ def _profile_mismatches(
     return problems
 
 
+#: the pinned execution modes: (name, kernels, interning, columnar)
+EXECUTION_MODES = (
+    ("interpreted", False, False, False),
+    ("kernel", True, False, False),
+    ("interned", True, True, False),
+    ("columnar", True, True, "force"),
+)
+
+
+def _run_modes(
+    report: DifferentialReport, label: str, evaluate: Callable[[EvaluationStats], object]
+) -> Dict[str, object]:
+    """Run ``evaluate(stats)`` under every execution mode; mode -> its result.
+
+    Each run rides with an armed EXPLAIN ANALYZE recorder whose profile is
+    checked against the run's own stats, and the stats totals of every mode
+    must equal the interpreted mode's.  ``label`` prefixes the mismatches.
+    """
+    results: Dict[str, object] = {}
+    mode_stats: Dict[str, Dict[str, float]] = {}
+    for engine, kernels, interning, columnar in EXECUTION_MODES:
+        stats = EvaluationStats()
+        recorder = ProfileRecorder(str(report.case.query), trace_id=f"diff-{label}{engine}-{report.case.name}")
+        with kernel_mode(kernels), interning_mode(interning), columnar_mode(columnar):
+            # arm the EXPLAIN ANALYZE recorder around the same evaluation the
+            # tuple/stats checks use: the profile must be a faithful account
+            # of the run it rode along with, not a separate re-execution
+            with query_trace(recorder.trace_id, recorder):
+                results[engine] = evaluate(stats)
+        totals = stats.as_dict()
+        totals.pop("elapsed_seconds", None)
+        mode_stats[engine] = totals
+        profile = recorder.build(strategy=f"{label}{engine}", stats=stats)
+        report.mismatches.extend(
+            label + problem
+            for problem in _profile_mismatches(engine, bool(columnar), profile, totals)
+        )
+    reference_stats = mode_stats["interpreted"]
+    for engine, totals in mode_stats.items():
+        if totals != reference_stats:
+            drifted = sorted(
+                key
+                for key in set(totals) | set(reference_stats)
+                if totals.get(key) != reference_stats.get(key)
+            )
+            details = ", ".join(
+                f"{key}: {engine}={totals.get(key)} vs interpreted={reference_stats.get(key)}"
+                for key in drifted
+            )
+            report.mismatches.append(f"{label}{engine}: stats drift vs interpreted ({details})")
+    return results
+
+
+def _schema_route(program, query: SelectionQuery) -> Optional[bool]:
+    """``require_one_sided`` for the route by which the Figure 9 schema
+    applies to ``query`` — ``True`` for a one-sided recursion, ``False`` for
+    a many-sided one whose unbounded sides the selection all binds (Section
+    5) — or ``None`` when it does not apply."""
+    try:
+        OneSidedSchema(program, query.predicate, query)
+        return True
+    except ReproError:
+        pass
+    bound = set(query.bound_columns())
+    try:
+        if bound and selection_covers_unbounded_sides(program, query.predicate, bound):
+            OneSidedSchema(program, query.predicate, query, require_one_sided=False)
+            return False
+    except ReproError:
+        pass
+    return None
+
+
+def _check_schema(report: DifferentialReport, reference: Set[Row]) -> None:
+    """Run ``one_sided_query`` under every execution mode (where it applies)."""
+    program, database, query = report.case.program, report.case.database, report.case.query
+    require = _schema_route(program, query)
+    if require is None:
+        report.engines["schema"] = "skipped: the Figure 9 schema does not apply"
+        return
+
+    def evaluate(stats: EvaluationStats):
+        try:
+            result = one_sided_query(program, database, query, require_one_sided=require, stats=stats)
+        except ReproError as error:
+            return f"{type(error).__name__}: {error}"
+        return result
+
+    outcomes = _run_modes(report, "schema/", evaluate)
+    failures = {engine: outcome for engine, outcome in outcomes.items() if isinstance(outcome, str)}
+    if failures:
+        if len(failures) == len(outcomes) and len(set(failures.values())) == 1:
+            report.engines["schema"] = f"skipped: {failures['interpreted']}"
+        else:
+            report.mismatches.append(f"schema: modes disagree on failing ({failures})")
+        return
+    report.engines["schema"] = "ok"
+    report.strategies["schema"] = outcomes["interpreted"].strategy + (
+        "" if require else " (bounded sides)"
+    )
+    for engine, result in outcomes.items():
+        if result.answers != reference:
+            report.mismatches.append(
+                f"schema/{engine} ({result.strategy}): {len(result.answers)} answers vs "
+                f"reference {len(reference)} "
+                f"(schema-only sample {sorted(result.answers - reference, key=repr)[:5]}, "
+                f"reference-only sample {sorted(reference - result.answers, key=repr)[:5]})"
+            )
+
+
 def run_differential(case: DifferentialCase) -> DifferentialReport:
     """Evaluate ``case`` under all engines and diff the results."""
     report = DifferentialReport(case)
@@ -186,27 +304,11 @@ def run_differential(case: DifferentialCase) -> DifferentialReport:
     # tuple-for-tuple model check, the pinned modes' instrumentation totals
     # must be identical — the fast paths reproduce the interpreted engine's
     # accounting, so a drifting counter is a bug even when the model agrees.
-    mode_stats: Dict[str, Dict[str, float]] = {}
-    for engine, kernels, interning, columnar in (
-        ("interpreted", False, False, False),
-        ("kernel", True, False, False),
-        ("interned", True, True, False),
-        ("columnar", True, True, "force"),
-    ):
-        stats = EvaluationStats()
-        recorder = ProfileRecorder(str(query), trace_id=f"diff-{engine}-{case.name}")
-        with kernel_mode(kernels), interning_mode(interning), columnar_mode(columnar):
-            # arm the EXPLAIN ANALYZE recorder around the same evaluation the
-            # tuple/stats checks use: the profile must be a faithful account
-            # of the run it rode along with, not a separate re-execution
-            with query_trace(recorder.trace_id, recorder):
-                mode_derived = seminaive_evaluate(program, database, stats)
-        totals = stats.as_dict()
-        totals.pop("elapsed_seconds", None)
-        mode_stats[engine] = totals
+    outcomes = _run_modes(
+        report, "", lambda stats: seminaive_evaluate(program, database, stats)
+    )
+    for engine, mode_derived in outcomes.items():
         report.engines[engine] = "ok"
-        profile = recorder.build(strategy=f"seminaive[{engine}]", stats=stats)
-        report.mismatches.extend(_profile_mismatches(engine, bool(columnar), profile, totals))
         for predicate in sorted(set(semi_derived) | set(mode_derived)):
             semi_rows = semi_derived[predicate].rows() if predicate in semi_derived else set()
             mode_rows = mode_derived[predicate].rows() if predicate in mode_derived else set()
@@ -217,19 +319,6 @@ def run_differential(case: DifferentialCase) -> DifferentialReport:
                     f"{engine}: {predicate}: {len(mode_rows)} vs seminaive={len(semi_rows)} tuples "
                     f"({engine}-only sample {only_mode}, seminaive-only sample {only_semi})"
                 )
-    reference_stats = mode_stats["interpreted"]
-    for engine, totals in mode_stats.items():
-        if totals != reference_stats:
-            drifted = sorted(
-                key
-                for key in set(totals) | set(reference_stats)
-                if totals.get(key) != reference_stats.get(key)
-            )
-            details = ", ".join(
-                f"{key}: {engine}={totals.get(key)} vs interpreted={reference_stats.get(key)}"
-                for key in drifted
-            )
-            report.mismatches.append(f"{engine}: stats drift vs interpreted ({details})")
 
     if query.predicate in semi_derived:
         reference: Set[Row] = query.select(semi_derived[query.predicate].rows())
@@ -264,6 +353,10 @@ def run_differential(case: DifferentialCase) -> DifferentialReport:
                     f"(counting-only sample {sorted(counting.answers - reference)[:5]}, "
                     f"reference-only sample {sorted(reference - counting.answers)[:5]})"
                 )
+
+    # The Figure 9 schema, wherever it applies, runs under the same four
+    # execution modes: reference answers, identical stats totals.
+    _check_schema(report, reference)
 
     # The optimizer front door runs on every case: whatever strategy the
     # rewrites select (unfolded, one-sided schema, counting, magic,

@@ -5,8 +5,9 @@ deterministic seeds spanning every generator family (chain, tree, cyclic,
 cross-product, one-sided, two-sided, bounded) run through naive, semi-naive,
 magic sets, counting and the optimizer front door (``repro.answer`` with
 ``strategy="auto"``, which exercises bounded-recursion unfolding, the
-one-sided schema, counting and magic as the rewrites dictate), asserting
-identical results tuple for tuple.  Any failure names its seed, so it
+one-sided schema, counting and magic as the rewrites dictate), plus the
+Figure 9 schema itself under every execution mode wherever it applies,
+asserting identical results tuple for tuple.  Any failure names its seed, so it
 reproduces with ``generate_case(seed)``.
 
 The bounded family gets extra dedicated seeds beyond the base batch so the
@@ -15,8 +16,11 @@ unfolding pass sees a wider spread of shapes and databases.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from repro.engine import SelectionQuery
 from repro.testing import (
     FAMILIES,
     generate_case,
@@ -85,6 +89,8 @@ def test_batch_covers_every_family_and_engine():
     assert coverage["interpreted"] == SEED_COUNT
     assert coverage["kernel"] == SEED_COUNT
     assert coverage["interned"] == SEED_COUNT
+    # the Figure 9 schema runs (under the same four modes) wherever it applies
+    assert coverage["schema"] >= SEED_COUNT * 0.5
 
 
 def test_unfolding_actually_fires_on_bounded_cases():
@@ -110,3 +116,17 @@ def test_queries_sometimes_empty_and_sometimes_bind_column_one():
     assert (1,) in columns
     absent = [case for case in cases if "nowhere" in dict(case.query.bindings).values()]
     assert absent, "no case queried a constant absent from the database"
+
+
+@pytest.mark.parametrize("seed", [5, 12, 19, 26])
+def test_schema_modes_agree_on_the_bounded_sides_route(seed):
+    """A two-sided recursion with both sides selected rides the Figure 9
+    schema (Section 5); the harness runs it under every execution mode."""
+    case = generate_case(seed)
+    assert case.family == "two_sided"
+    domain = sorted(case.database.active_domain(), key=str)
+    query = SelectionQuery.of(case.query.predicate, 2, {0: domain[0], 1: domain[-1]})
+    report = run_differential(replace(case, query=query))
+    assert report.ok, report.summary() + "\n" + "\n".join(report.mismatches)
+    assert report.engines["schema"] == "ok"
+    assert report.strategies["schema"].endswith("(bounded sides)")

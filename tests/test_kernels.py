@@ -3,17 +3,21 @@
 Every assertion here runs the same compiled plan (or whole evaluation) once
 with kernels enabled and once with them disabled and demands identical
 results *and* identical instrumentation counters — the contract that lets
-the codegen path be the default runtime.
+the codegen path be the default runtime.  Batch calls (many bindings in one
+kernel call, as the Figure 9 schema makes them) must also equal one call per
+binding.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 
 from repro.datalog.atoms import Atom
 from repro.datalog.relation import Relation
 from repro.datalog.rules import Rule
-from repro.datalog.terms import Variable
+from repro.datalog.terms import Constant, Variable
 from repro.engine import (
     EvaluationStats,
     compile_delta_variants,
@@ -149,6 +153,96 @@ class TestKernelEquivalence:
         assert len(kernel) == 3  # multiset, not deduplicated
 
 
+def random_plan_case(seed):
+    """A random rule, a random bound-variable subset and a random batch.
+
+    Bodies draw constants (restricted probes on constant keys) and repeated
+    variables within one atom (equality checks); the batch holds
+    ``initials`` for the bound variables, sometimes none at all.
+    """
+    rng = random.Random(seed)
+    arities = {"e": 2, "f": 3, "g": 1}
+    pool = [Variable(name) for name in "XYZUV"]
+
+    def term():
+        return Constant(rng.randrange(3)) if rng.random() < 0.2 else rng.choice(pool)
+
+    def atom(name):
+        args = [term() for _ in range(arities[name])]
+        if len(args) > 1 and rng.random() < 0.3:
+            args[-1] = args[0]  # a variable repeated within the atom
+        return Atom(name, tuple(args))
+
+    body = tuple(atom(name) for name in rng.choices(sorted(arities), k=rng.randrange(0, 4)))
+    bound = tuple(rng.sample(pool, rng.randrange(0, 3)))
+    candidates = [v for atom in body for v in atom.variables()] + list(bound)
+    head = Atom("h", tuple(rng.choice(candidates) if candidates else Constant(0) for _ in range(2)))
+    relations = {
+        name: Relation(name, arity, {tuple(rng.randrange(3) for _ in range(arity)) for _ in range(8)})
+        for name, arity in arities.items()
+    }
+    initials = [tuple(rng.randrange(3) for _ in bound) for _ in range(rng.choice([0, 1, 4, 9]))]
+    return compile_rule(Rule(head, body), relations, bound=bound), relations, initials
+
+
+class TestBatchKernels:
+    """One batch-kernel call over many bindings == one call per binding."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_batch_equals_per_row_calls_and_step_machine(self, seed):
+        plan, relations, initials = random_plan_case(seed)
+        batch_stats, rows_stats, machine_stats = EvaluationStats(), EvaluationStats(), EvaluationStats()
+        with kernel_mode(True):
+            batch = plan.join_batch(relations, initials, batch_stats)
+            per_row = [
+                assignment
+                for initial in initials
+                for assignment in plan.join_batch(relations, [initial], rows_stats)
+            ]
+        with kernel_mode(False):
+            machine = plan.join_batch(relations, initials, machine_stats)
+        assert batch == per_row == machine  # same assignments, same multiplicities
+        assert counters(batch_stats) == counters(rows_stats) == counters(machine_stats)
+        if plan.producible:
+            projected = EvaluationStats()
+            with kernel_mode(True):
+                heads = plan.evaluate_batch(relations, initials, projected)
+            assert heads == {
+                tuple(value if is_const else row[value] for is_const, value in plan.head_ops)
+                for row in batch
+            }
+            assert counters(projected) == counters(batch_stats)
+
+    def test_empty_batch_probes_nothing(self):
+        rule = Rule(Atom.of("t", "X", "Y"), (Atom.of("e", "X", "Y"),))
+        relations = {"e": Relation("e", 2, [(1, 10), (2, 20)])}
+        plan = compile_rule(rule, relations, bound=(Variable("X"),))
+        for enabled in (True, False):
+            stats = EvaluationStats()
+            with kernel_mode(enabled):
+                assert plan.evaluate_batch(relations, [], stats) == set()
+            assert counters(stats) == counters(EvaluationStats())
+
+    def test_empty_body_projects_each_binding(self):
+        x, y = Variable("X"), Variable("Y")
+        plan = compile_rule(Rule(Atom("t", (y, x)), ()), bound=(x, y))
+        for enabled in (True, False):
+            stats = EvaluationStats()
+            with kernel_mode(enabled):
+                assert plan.evaluate_batch({}, [(1, 2), (3, 4), (1, 2)], stats) == {(2, 1), (4, 3)}
+            assert stats.lookups == 0
+
+    def test_missing_relation_counts_one_lookup_per_binding(self):
+        rule = Rule(Atom.of("t", "X"), (Atom.of("missing", "X"),))
+        plan = compile_rule(rule, bound=(Variable("X"),))
+        for enabled in (True, False):
+            stats = EvaluationStats()
+            with kernel_mode(enabled):
+                assert plan.evaluate_batch({}, [(1,), (2,), (3,)], stats) == set()
+            assert stats.lookups == 3
+            assert stats.unrestricted_lookups == 0
+
+
 class TestFullEvaluationParity:
     @pytest.mark.parametrize("seed", [0, 3, 7, 19, 42])
     def test_seminaive_counters_identical_across_modes(self, seed):
@@ -193,7 +287,7 @@ class TestSwitches:
         rule = Rule(Atom.of("t", "X", "Y"), (Atom.of("a", "X", "W"), Atom.of("t", "W", "Y")))
         plan = compile_rule(rule)
         source = kernel_source(plan, project=True)
-        assert "def _kernel(rels, initial, stats):" in source
+        assert "def _kernel(rels, initials, stats):" in source
         assert "out_add(" in source
         # the memoized pair is attached to the plan on first use
         join_kernel, eval_kernel = plan.kernels()

@@ -28,6 +28,7 @@ from repro import (
     answer,
     parse_program,
 )
+from repro.engine import kernel_mode
 from repro.obs.profile import ProfileRecorder
 
 TC = """
@@ -104,6 +105,27 @@ class TestAnswerProfile:
         assert all(sample.delta_tuples >= 0 for sample in profile.iterations)
         assert profile.counters["strata_entered"] >= 1
         assert profile.counters["iterations_sampled"] == len(profile.iterations)
+
+    @pytest.mark.parametrize(
+        "text, kernels, dispatch",
+        [
+            ("t(1, Y)?", True, "kernel"),
+            ("t(X, 61)?", True, "kernel"),
+            ("t(1, Y)?", False, "interpreted"),
+        ],
+    )
+    def test_one_sided_profile_lists_the_schema_plans(self, text, kernels, dispatch):
+        with kernel_mode(kernels):
+            result = answer(tc_program(), chain_database(), text, profile=True)
+        assert result.strategy.startswith("one-sided")
+        profile = result.profile
+        assert profile.plans, "the Figure 9 schema must record its compiled plans"
+        assert {plan.dispatch for plan in profile.plans} == {dispatch}
+        # one batch initialises the carry, then one batch per iteration
+        carry = [plan for plan in profile.plans if plan.rule.startswith("carry(")]
+        assert sum(plan.applications for plan in carry) == result.stats.iterations + 1
+        assert all("[probe" in step for plan in profile.plans for step in plan.join_order)
+        assert "PLANS" in profile.render() and "carry(" in profile.render()
 
     def test_rewrites_come_from_the_optimizer_provenance(self):
         result = answer(tc_program(), chain_database(), "t(1, Y)?", profile=True)

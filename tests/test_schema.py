@@ -225,3 +225,84 @@ class TestManySidedWithOverride:
         )
         reference, _ = seminaive_query(same_generation_distinct_parents(), database, "sg", {0: 1})
         assert result.answers == reference
+
+
+class TestCallArgumentShapes:
+    """Constant and repeated arguments in the recursive call or the head."""
+
+    PROGRAMS = {
+        # the call repeats a variable the body binds: rows must agree on both columns
+        "repeated call variable": """
+            t(X, Y) :- a(X, Y), t(Y, Y).
+            t(X, Y) :- b(X, Y).
+        """,
+        # the call holds a constant: only carry rows with that value continue
+        "constant call argument": """
+            t(X, Y) :- a(X, Y), t(Y, 3).
+            t(X, Y) :- b(X, Y).
+        """,
+        # the head repeats a variable: a depth-0 exit tuple need not, a
+        # recursive derivation must, hold equal columns
+        "repeated head variable": """
+            t(X, X) :- a(X, Z), t(Z, X).
+            t(X, Y) :- b(X, Y).
+        """,
+    }
+
+    @pytest.mark.parametrize("shape", sorted(PROGRAMS))
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_seminaive_with_identical_stats_across_modes(self, shape, seed):
+        from repro.datalog import parse_program
+        from repro.engine import kernel_mode
+
+        program = parse_program(self.PROGRAMS[shape])
+        database = relations_database(
+            a=random_pairs(14, 5, seed=seed), b=random_pairs(8, 5, seed=seed + 50)
+        )
+        for bindings in ({}, {0: seed % 5}, {1: 3}, {0: 3, 1: 3}):
+            query = SelectionQuery.of("t", 2, bindings)
+            reference, _ = seminaive_query(program, database, "t", bindings)
+            outcomes = []
+            for enabled in (True, False):
+                with kernel_mode(enabled):
+                    result = one_sided_query(program, database, query, require_one_sided=False)
+                assert result.answers == reference, (shape, query)
+                stats = result.stats.as_dict()
+                stats.pop("elapsed_seconds")
+                outcomes.append(stats)
+            assert outcomes[0] == outcomes[1]
+
+    def test_repeated_head_variable_binds_exit_columns_by_position(self):
+        from repro.datalog import parse_program
+
+        program = parse_program(
+            """
+            t(X, X) :- t(Z, X).
+            t(3, X) :- c(X).
+            """
+        )
+        database = relations_database(c=[(1,), (4,)])
+        query = SelectionQuery.of("t", 2, {0: 4})
+        reference, _ = seminaive_query(program, database, "t", {0: 4})
+        assert reference == {(4, 4)}
+        assert one_sided_query(program, database, query, require_one_sided=False).answers == reference
+
+    def test_unbound_call_variable_in_two_columns_is_refused(self):
+        """``t(Z, Z)`` with ``Z`` bound by nothing cannot ride as two
+        independent "any value" columns; auto falls back and stays correct."""
+        from repro import answer
+        from repro.datalog import parse_program
+
+        program = parse_program(
+            """
+            t(X, Y) :- a(U, X), t(Z, Z), c(Y).
+            t(X, Z) :- c(U), d(X, Y, Z).
+            """
+        )
+        database = relations_database(a=[(0, 1)], c=[(2,)], d=[(4, 1, 5)])
+        query = SelectionQuery.of("t", 2, {0: 1})
+        with pytest.raises(EvaluationError, match="cannot carry their equality"):
+            one_sided_query(program, database, query, require_one_sided=False)
+        reference, _ = seminaive_query(program, database, "t", {0: 1})
+        assert reference == set()  # no t(z, z) exists, so t(1, 2) is not derived
+        assert answer(program, database, "t(1, Y)?").answers == reference
