@@ -30,22 +30,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from types import MappingProxyType
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..datalog.terms import Variable
 from .build import ArgNode, AVGraph, Node, VarNode
 
 
-@dataclass
+@dataclass(frozen=True)
 class ComponentAnalysis:
-    """Everything Theorems 3.1/3.3 need to know about one connected component."""
+    """Everything Theorems 3.1/3.3 need to know about one connected component.
+
+    Read-only: memoized sidedness reports share their components.
+    """
 
     #: the nodes of the component
-    nodes: Set[Node]
+    nodes: FrozenSet[Node]
     #: gcd of closed-walk weights (0 when every cycle has weight 0)
     cycle_gcd: int
     #: BFS potentials relative to an arbitrary root (walk weights root → node)
-    potentials: Dict[Node, int] = field(default_factory=dict)
+    potentials: Mapping[Node, int] = field(default_factory=lambda: MappingProxyType({}))
 
     # ------------------------------------------------------------------
     # the predicates Theorems 3.1 / 3.3 test
@@ -128,7 +132,11 @@ def analyze_components(graph: AVGraph) -> List[ComponentAnalysis]:
                     if residual:
                         cycle_gcd = gcd(cycle_gcd, residual)
         components.append(
-            ComponentAnalysis(nodes=set(potentials), cycle_gcd=cycle_gcd, potentials=potentials)
+            ComponentAnalysis(
+                nodes=frozenset(potentials),
+                cycle_gcd=cycle_gcd,
+                potentials=MappingProxyType(potentials),
+            )
         )
     return components
 

@@ -15,12 +15,19 @@ unbounded connected sets (the instances produced on iterations ``i`` and
 :func:`classify` reports both the raw component data and the derived counts so
 that callers (and the E1 benchmark) can see *why* a recursion was classified
 the way it was.
+
+The analysis reads only the recursive rule, so :func:`classify` memoizes it
+per ``(recursive rule, predicate)`` in a thread-safe LRU of
+:data:`CLASSIFY_MEMO_SIZE` entries; the shape check that raises
+:class:`ProgramError` runs on every call.  Hits share one frozen
+:class:`SidednessReport`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Set
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import List, Optional, Set, Tuple
 
 from ..datalog.errors import ProgramError
 from ..datalog.rules import Program, Rule
@@ -28,14 +35,18 @@ from ..avgraph.build import AVGraph, build_full_av_graph
 from ..avgraph.cycles import ComponentAnalysis, analyze_components
 
 
-@dataclass
+#: (recursive rule, predicate) pairs :func:`classify` remembers
+CLASSIFY_MEMO_SIZE = 256
+
+
+@dataclass(frozen=True)
 class SidednessReport:
     """The outcome of the Theorem 3.1 analysis for one recursive predicate."""
 
     predicate: str
     rule: Rule
     graph: AVGraph
-    components: List[ComponentAnalysis] = field(default_factory=list)
+    components: Tuple[ComponentAnalysis, ...] = ()
 
     # ------------------------------------------------------------------
     # derived facts
@@ -106,16 +117,21 @@ def classify(program: Program, predicate: str) -> SidednessReport:
 
     Requires the program to define ``predicate`` by a single linear recursive
     rule (plus exit rules); raises :class:`ProgramError` otherwise, because
-    Theorem 3.1 is only stated for that shape.
+    Theorem 3.1 is only stated for that shape.  Memoized per recursive rule.
     """
     if not program.is_single_linear_recursion(predicate):
         raise ProgramError(
             f"Theorem 3.1 applies to definitions with a single linear recursive rule; "
             f"{predicate} does not have that shape"
         )
-    rule = program.linear_recursive_rule(predicate)
+    return _classify_rule(program.linear_recursive_rule(predicate), predicate)
+
+
+@lru_cache(maxsize=CLASSIFY_MEMO_SIZE)
+def _classify_rule(rule: Rule, predicate: str) -> SidednessReport:
+    """The Theorem 3.1 analysis of one linear recursive rule."""
     graph = build_full_av_graph(rule)
-    components = analyze_components(graph)
+    components = tuple(analyze_components(graph))
     return SidednessReport(predicate=predicate, rule=rule, graph=graph, components=components)
 
 

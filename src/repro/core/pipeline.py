@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from ..datalog.rules import Program
-from ..optimize.passes import Optimizer, detection_passes
+from ..optimize.passes import shared_optimizer
 from .classify import SidednessReport
 from .redundancy import RedundancyRemoval
 
@@ -70,11 +70,11 @@ def detect_one_sided(program: Program, predicate: str) -> DetectionOutcome:
 
     The procedure is the analysis prefix of the optimizer: the
     :func:`~repro.optimize.passes.detection_passes` chain (redundancy
-    removal, boundedness, classification) runs through a shared
-    :class:`~repro.optimize.passes.Optimizer`, and this function adds the
-    Theorem 3.4 completeness verdict to the collected evidence.
+    removal, boundedness, classification) runs through the memoized
+    :func:`~repro.optimize.passes.shared_optimizer`, and this function adds
+    the Theorem 3.4 completeness verdict to the collected evidence.
     """
-    result = Optimizer(detection_passes()).run(program, predicate)
+    result = shared_optimizer("detection").run(program, predicate)
     notes: List[str] = list(result.notes)
 
     if result.out_of_scope:

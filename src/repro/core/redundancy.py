@@ -26,7 +26,7 @@ This module provides both halves of that story:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..datalog.atoms import Atom
@@ -167,18 +167,18 @@ def implied_by_recursive_atom(program: Program, predicate: str, atom: Atom) -> b
     return True
 
 
-@dataclass
+@dataclass(frozen=True)
 class RedundancyRemoval:
-    """Result of :func:`remove_recursively_redundant`."""
+    """Result of :func:`remove_recursively_redundant` (read-only: optimizer results share it)."""
 
     #: the original program
     original: Program
     #: the optimized program (identical when nothing was removable)
     optimized: Program
     #: the atoms removed from the recursive rule, in removal order
-    removed: List[Atom] = field(default_factory=list)
+    removed: Tuple[Atom, ...] = ()
     #: nonrecursive predicates Theorem 3.3 flags as recursively redundant
-    theorem_3_3_candidates: List[str] = field(default_factory=list)
+    theorem_3_3_candidates: Tuple[str, ...] = ()
 
     @property
     def changed(self) -> bool:
@@ -240,6 +240,6 @@ def remove_recursively_redundant(program: Program, predicate: str) -> Redundancy
     return RedundancyRemoval(
         original=original,
         optimized=program,
-        removed=removed,
-        theorem_3_3_candidates=candidates,
+        removed=tuple(removed),
+        theorem_3_3_candidates=tuple(candidates),
     )

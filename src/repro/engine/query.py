@@ -189,7 +189,10 @@ def answer(
 
     1. runs the :mod:`repro.optimize` pass chain on the query's predicate
        (redundancy removal, boundedness, sidedness, bounded-recursion
-       unfolding), sharing the library-wide containment cache;
+       unfolding) once per program, memoized: the analysis reads only the
+       rules, so later queries on the same program reuse the result of
+       :func:`repro.optimize.passes.shared_optimizer` (a caller-supplied
+       ``optimizer`` keeps its own memo);
     2. picks the cheapest applicable strategy, in order: **unfolded** (the
        recursion was rewritten into a nonrecursive union — evaluated
        recursion-free with the selection pushed into each compiled join),
@@ -273,20 +276,15 @@ def _answer_selection(
     if strategy not in ("auto", "unfolded"):
         raise EvaluationError(f"unknown evaluation strategy {strategy!r}")
 
-    from ..optimize.passes import Optimizer, UnfoldingPass, default_passes, detection_passes
+    from ..optimize.passes import shared_optimizer
     from ..optimize.unfold import evaluate_unfolded
 
     if optimizer is not None:
         chosen = optimizer
     elif strategy == "unfolded":
-        # a forced unfolding request searches the full requested depth even
-        # when structural boundedness is undecided (repeated predicates)
-        chosen = Optimizer(
-            detection_passes()
-            + (UnfoldingPass(max_depth=max_unfold_depth, fallback_depth=None),)
-        )
+        chosen = shared_optimizer("forced-unfolding", max_unfold_depth)
     else:
-        chosen = Optimizer(default_passes(max_unfold_depth))
+        chosen = shared_optimizer("default", max_unfold_depth)
     try:
         result = chosen.run(program, selection.predicate)
     except ProgramError:

@@ -584,9 +584,10 @@ def explain(
 ) -> QueryProfile:
     """Explain how :func:`repro.engine.query.answer` would evaluate ``query``.
 
-    Runs the full optimizer pass chain (the rewrites are analysis, not
-    evaluation), predicts the strategy the ``auto`` front door would pick by
-    replaying its decision ladder, and compiles the join plans the strategy
+    Runs the full optimizer pass chain through the same memoized optimizer
+    as ``answer`` (the rewrites are analysis, not evaluation), predicts the
+    strategy the ``auto`` front door would pick by replaying its decision
+    ladder, and compiles the join plans the strategy
     would run — **without touching a single stored tuple**.  ``database`` is
     optional and used only for the planner's size-based join-order
     tie-breaking and for the leapfrog-eligibility check; passing the real
@@ -608,14 +609,12 @@ def explain(
     from ..engine.kernels import kernels_enabled
     from ..engine.query import as_selection_query
     from ..engine.strata import evaluation_strata
-    from ..optimize.passes import Optimizer, default_passes
+    from ..optimize.passes import shared_optimizer
 
     selection = as_selection_query(program, query)
     recorder = ProfileRecorder(str(selection))
     try:
-        result = Optimizer(default_passes(max_unfold_depth)).run(
-            program, selection.predicate
-        )
+        result = shared_optimizer("default", max_unfold_depth).run(program, selection.predicate)
     except ProgramError:
         result = None
 

@@ -17,6 +17,7 @@ from .passes import (
     default_passes,
     detection_passes,
     optimize_program,
+    shared_optimizer,
 )
 from .unfold import (
     UnfoldedDefinition,
@@ -41,5 +42,6 @@ __all__ = [
     "detection_passes",
     "evaluate_unfolded",
     "optimize_program",
+    "shared_optimizer",
     "unfold_bounded",
 ]

@@ -27,11 +27,29 @@ passes run through the same :class:`Optimizer`, and the query front door
 and minimization work goes through one :class:`~repro.cq.cache.CQCache`, so
 repeated homomorphism searches across passes (and across queries) are paid
 for once.
+
+Every pass reads only the program, never the data or the selection, so an
+:class:`Optimizer` memoizes :meth:`Optimizer.run`.  The key is the ordered
+rule tuple plus the predicate, ``(program.rules, predicate)``, not
+:class:`~repro.datalog.rules.Program`'s order-insensitive equality, so a hit
+returns exactly what a fresh run would.  The memo is a per-instance LRU of
+:data:`MEMO_SIZE` entries, guarded by a lock so that concurrent readers (the
+serving layer answers on a thread pool) may share one instance; a
+:class:`~repro.datalog.errors.ProgramError` is never memoized and is raised
+again on every call.  Hits hand every caller the same
+:class:`OptimizationResult`, which is therefore frozen, with tuples for its
+sequences.  :func:`shared_optimizer` returns the module-wide instance of each
+pass configuration; ``answer()``, ``explain()`` and ``detect_one_sided()``
+run through it, so each (program, predicate) is analyzed once per process.
+A fresh ``Optimizer(...)`` starts with an empty memo.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from ..cq.cache import CQCache, shared_cache
@@ -51,7 +69,11 @@ OUT_OF_SCOPE_NOTE = (
 )
 
 
-@dataclass
+#: entries an :class:`Optimizer` memoizes before evicting the least recently used
+MEMO_SIZE = 256
+
+
+@dataclass(frozen=True)
 class Rewrite:
     """Provenance for one optimizer pass (did it fire, and what it did)."""
 
@@ -239,9 +261,12 @@ class UnfoldingPass(OptimizationPass):
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimizationResult:
-    """Everything one optimizer run decided, rewrote and recorded."""
+    """Everything one optimizer run decided, rewrote and recorded.
+
+    Frozen: a memoized result is shared by every query on its program.
+    """
 
     predicate: str
     #: the input program
@@ -258,8 +283,8 @@ class OptimizationResult:
     report: Optional[SidednessReport]
     one_sided: bool
     unfolded: Optional[UnfoldedDefinition]
-    notes: List[str]
-    rewrites: List[Rewrite]
+    notes: Tuple[str, ...]
+    rewrites: Tuple[Rewrite, ...]
 
     def fired(self) -> List[str]:
         """Names of the passes that actually rewrote or proved something."""
@@ -285,8 +310,23 @@ def default_passes(max_unfold_depth: int = 8) -> Tuple[OptimizationPass, ...]:
     return detection_passes() + (UnfoldingPass(max_depth=max_unfold_depth),)
 
 
+def forced_unfolding_passes(max_unfold_depth: int = 8) -> Tuple[OptimizationPass, ...]:
+    """The chain behind ``strategy="unfolded"``.
+
+    A forced unfolding request searches the full requested depth even when
+    structural boundedness is undecided (repeated predicates).
+    """
+    return detection_passes() + (
+        UnfoldingPass(max_depth=max_unfold_depth, fallback_depth=None),
+    )
+
+
 class Optimizer:
-    """Run a chain of passes over one predicate's definition."""
+    """Run a chain of passes over one predicate's definition, memoized.
+
+    The passes must decide from the program alone (see the module
+    docstring); the instance remembers the last :data:`MEMO_SIZE` results.
+    """
 
     def __init__(
         self,
@@ -297,8 +337,28 @@ class Optimizer:
             tuple(passes) if passes is not None else default_passes()
         )
         self.cache = cache if cache is not None else shared_cache
+        self._memo: "OrderedDict[Tuple[tuple, str], OptimizationResult]" = OrderedDict()
+        self._memo_lock = threading.Lock()
 
     def run(self, program: Program, predicate: str) -> OptimizationResult:
+        """Apply every pass in order and collect the result (memoized)."""
+        key = (program.rules, predicate)
+        with self._memo_lock:
+            result = self._memo.get(key)
+            if result is not None:
+                self._memo.move_to_end(key)
+                return result
+        result = self._run_passes(program, predicate)
+        with self._memo_lock:
+            # a racing thread may have stored the same analysis first; keep
+            # one object per key so every caller reads the same result
+            result = self._memo.setdefault(key, result)
+            self._memo.move_to_end(key)
+            while len(self._memo) > MEMO_SIZE:
+                self._memo.popitem(last=False)
+        return result
+
+    def _run_passes(self, program: Program, predicate: str) -> OptimizationResult:
         """Apply every pass in order and collect the result."""
         ctx = PassContext(
             predicate=predicate,
@@ -324,9 +384,33 @@ class Optimizer:
             report=ctx.report,
             one_sided=ctx.one_sided,
             unfolded=ctx.unfolded,
-            notes=ctx.notes,
-            rewrites=ctx.rewrites,
+            notes=tuple(ctx.notes),
+            rewrites=tuple(ctx.rewrites),
         )
+
+
+_PASS_CHAINS = {
+    "default": default_passes,
+    "forced-unfolding": forced_unfolding_passes,
+    "detection": lambda _max_unfold_depth: detection_passes(),
+}
+
+
+def shared_optimizer(chain: str = "default", max_unfold_depth: int = 8) -> Optimizer:
+    """The process-wide memoized :class:`Optimizer` of one pass configuration.
+
+    ``chain`` is ``"default"`` (:func:`default_passes`, what ``answer()`` and
+    ``explain()`` run), ``"forced-unfolding"``
+    (:func:`forced_unfolding_passes`) or ``"detection"``
+    (:func:`detection_passes`, what ``detect_one_sided()`` runs; it ignores
+    ``max_unfold_depth``).  Instances are created on first use.
+    """
+    return _shared_optimizer(chain, max_unfold_depth)
+
+
+@lru_cache(maxsize=16)
+def _shared_optimizer(chain: str, max_unfold_depth: int) -> Optimizer:
+    return Optimizer(_PASS_CHAINS[chain](max_unfold_depth))
 
 
 def optimize_program(

@@ -15,7 +15,10 @@ tuple:
 * **optimized** — the :func:`repro.engine.query.answer` front door with
   ``strategy="auto"``, i.e. the full rewrite-then-evaluate path (bounded
   unfolding, one-sided schema, counting, magic, semi-naive), runs on every
-  case; whatever strategy it picks must reproduce the reference answers;
+  case; whatever strategy it picks must reproduce the reference answers.
+  It runs once with a cold optimizer memo and once through the warm shared
+  memo, and the strategy, answers, stats totals and EXPLAIN prediction must
+  be identical;
 * **interpreted / kernel / columnar** — semi-naive evaluation re-run with
   the engine runtime pinned to each of its execution modes: the interpreted
   step machine (``REPRO_KERNELS=off`` + ``REPRO_INTERN=off``), generated
@@ -59,14 +62,15 @@ from ..engine.domain import interning_mode
 from ..engine.instrumentation import EvaluationStats, query_trace
 from ..engine.kernels import kernel_mode
 from ..engine.naive import naive_evaluate
-from ..engine.query import SelectionQuery, answer
+from ..engine.query import QueryResult, SelectionQuery, answer
 from ..engine.seminaive import (
     DECISION_COLUMNAR_OFF,
     DECISION_FORCED,
     DECISION_NO_TEMPLATE,
     seminaive_evaluate,
 )
-from ..obs.profile import ProfileRecorder, QueryProfile
+from ..obs.profile import ProfileRecorder, QueryProfile, explain
+from ..optimize.passes import Optimizer
 from .generate import DifferentialCase
 
 #: depth bound handed to the counting method; generated cyclic cases trip it
@@ -275,6 +279,30 @@ def _check_schema(report: DifferentialReport, reference: Set[Row]) -> None:
             )
 
 
+def _memo_mismatches(cold: QueryResult, warm: QueryResult, plans: List[QueryProfile]) -> List[str]:
+    """Differences between a cold-memo and a warm-memo ``answer(auto)``.
+
+    ``plans`` are EXPLAINs of the query taken before and after the warm
+    answer; both must predict one strategy and list the cold run's rewrites.
+    """
+    problems: List[str] = []
+    if cold.strategy != warm.strategy:
+        problems.append(f"memo: strategy {warm.strategy!r} warm vs {cold.strategy!r} cold")
+    if cold.answers != warm.answers:
+        problems.append(f"memo: {len(warm.answers)} answers warm vs {len(cold.answers)} cold")
+    totals = [result.stats.as_dict() for result in (cold, warm)]
+    for entry in totals:
+        entry.pop("elapsed_seconds", None)
+    if totals[0] != totals[1]:
+        problems.append(f"memo: stats totals warm {totals[1]} vs cold {totals[0]}")
+    rewrites = [str(rewrite) for rewrite in getattr(cold.provenance, "rewrites", ())]
+    if len({plan.strategy for plan in plans}) != 1:
+        problems.append(f"memo: EXPLAIN strategies {[plan.strategy for plan in plans]} differ")
+    if any(plan.rewrites != rewrites for plan in plans):
+        problems.append("memo: EXPLAIN rewrites differ from the cold analysis")
+    return problems
+
+
 def run_differential(case: DifferentialCase) -> DifferentialReport:
     """Evaluate ``case`` under all engines and diff the results."""
     report = DifferentialReport(case)
@@ -360,8 +388,14 @@ def run_differential(case: DifferentialCase) -> DifferentialReport:
 
     # The optimizer front door runs on every case: whatever strategy the
     # rewrites select (unfolded, one-sided schema, counting, magic,
-    # semi-naive) must agree with the reference answers.
+    # semi-naive) must agree with the reference answers.  It runs cold (a
+    # fresh Optimizer, empty memo) and warm (the shared memoized optimizer,
+    # which EXPLAIN fills first); the memo must change nothing.
+    cold = answer(program, database, query, optimizer=Optimizer(), counting_depth=COUNTING_DEPTH_BOUND)
+    plans = [explain(program, query, database)]
     optimized = answer(program, database, query, strategy="auto", counting_depth=COUNTING_DEPTH_BOUND)
+    plans.append(explain(program, query, database))
+    report.mismatches.extend(_memo_mismatches(cold, optimized, plans))
     report.engines["optimized"] = "ok"
     report.strategies["optimized"] = optimized.strategy
     if optimized.answers != reference:

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import functools
+import importlib
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from repro.core import classify, is_one_sided, one_sided_component, structural_sidedness
@@ -135,3 +139,86 @@ class TestScopeChecks:
         )
         with pytest.raises(ProgramError):
             classify(program, "t")
+
+
+class TestClassifyMemo:
+    """classify() analyzes each recursive rule once and shares a read-only report."""
+
+    def test_second_classify_builds_no_graph(self, monkeypatch):
+        module = importlib.import_module("repro.core.classify")
+        built = []
+        original = module.build_full_av_graph
+        monkeypatch.setattr(
+            module, "build_full_av_graph", lambda rule: built.append(rule) or original(rule)
+        )
+        program = transitive_closure(edge="cm_e", base="cm_b", predicate="cm_t")
+        first = classify(program, "cm_t")
+        assert len(built) == 1
+        assert classify(program, "cm_t") is first
+        assert len(built) == 1
+
+    def test_program_errors_are_raised_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(ProgramError):
+                classify(nonlinear_tc(), "t")
+
+    def test_the_memo_is_a_bounded_lru(self, monkeypatch):
+        module = importlib.import_module("repro.core.classify")
+        assert module._classify_rule.cache_info().maxsize == module.CLASSIFY_MEMO_SIZE
+        small = functools.lru_cache(maxsize=2)(module._classify_rule.__wrapped__)
+        monkeypatch.setattr(module, "_classify_rule", small)
+        programs = [
+            transitive_closure(edge=f"cb{index}_e", base=f"cb{index}_b", predicate=f"cb{index}_t")
+            for index in range(4)
+        ]
+        reports = [classify(program, f"cb{index}_t") for index, program in enumerate(programs)]
+        assert small.cache_info().currsize == 2
+        assert classify(programs[3], "cb3_t") is reports[3]
+        assert classify(programs[0], "cb0_t") is not reports[0]  # the oldest was evicted
+        assert small.cache_info().currsize == 2
+
+
+class TestSharedResultsAreReadOnly:
+    """A caller cannot change another query's provenance or verdict through a shared result."""
+
+    def test_provenance_and_report_reject_mutation(self):
+        from repro import Database, answer
+
+        program = transitive_closure(edge="ro_e", base="ro_b", predicate="ro_t")
+        database = Database.from_dict({"ro_e": [(1, 2), (2, 3)], "ro_b": [(1, 2), (2, 3)]})
+        provenance = answer(program, database, "ro_t(1, Y)?").provenance
+        described = provenance.describe()
+        report = provenance.report
+        component = report.nonzero_cycle_components[0]
+
+        attempts = [
+            lambda: setattr(provenance, "one_sided", False),
+            lambda: provenance.notes.append("forged"),
+            lambda: provenance.rewrites.append(None),
+            lambda: setattr(provenance.rewrites[0], "fired", True),
+            lambda: provenance.redundancy.theorem_3_3_candidates.append("ro_e"),
+            lambda: setattr(report, "components", ()),
+            lambda: report.components.append(component),
+            lambda: setattr(component, "cycle_gcd", 2),
+            lambda: component.nodes.clear(),
+            lambda: component.potentials.clear(),
+        ]
+        for attempt in attempts:
+            with pytest.raises((FrozenInstanceError, AttributeError, TypeError)):
+                attempt()
+
+        again = answer(program, database, "ro_t(2, Y)?")
+        assert again.provenance is provenance
+        assert again.provenance.one_sided
+        assert again.provenance.describe() == described
+        assert classify(program, "ro_t").is_one_sided
+        assert again.answers == {(2, 3)}
+
+    def test_detection_outcome_notes_are_the_callers_own(self):
+        from repro.core import detect_one_sided
+
+        program = transitive_closure(edge="rd_e", base="rd_b", predicate="rd_t")
+        outcome = detect_one_sided(program, "rd_t")
+        notes = list(outcome.notes)
+        outcome.notes.append("forged")
+        assert detect_one_sided(program, "rd_t").notes == notes

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
 from repro.cq.cache import CQCache
@@ -236,3 +238,169 @@ class TestFrontDoorUnfolded:
         auto = answer(program, database, SelectionQuery.of("t", 4, {0: 1}))
         assert "unfolded" not in auto.strategy
         assert auto.answers == reference
+
+
+def _unique_tc(tag: str):
+    """A transitive closure whose predicate names no other test uses."""
+    return transitive_closure(edge=f"{tag}_e", base=f"{tag}_b", predicate=f"{tag}_t")
+
+
+def _chain_database(tag: str, length: int = 6) -> Database:
+    edges = [(node, node + 1) for node in range(length)]
+    return Database.from_dict({f"{tag}_e": edges, f"{tag}_b": edges})
+
+
+class TestOptimizerMemo:
+    """Each (program, predicate) is analyzed once; the memo is bounded and thread-safe."""
+
+    def test_second_answer_runs_no_pass(self, monkeypatch):
+        from repro import answer
+        classify_module = importlib.import_module("repro.core.classify")
+        from repro.optimize import passes
+
+        calls = {"redundancy": 0, "graph": 0, "run": 0}
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            passes, "remove_recursively_redundant",
+            counted("redundancy", passes.remove_recursively_redundant),
+        )
+        monkeypatch.setattr(
+            classify_module, "build_full_av_graph",
+            counted("graph", classify_module.build_full_av_graph),
+        )
+        # the memo lives inside Optimizer.run, so every query still enters it
+        monkeypatch.setattr(passes.Optimizer, "run", counted("run", passes.Optimizer.run))
+        program, database = _unique_tc("memo_once"), _chain_database("memo_once")
+
+        first = answer(program, database, "memo_once_t(0, Y)?")
+        assert calls["redundancy"] > 0 and calls["graph"] > 0
+        after_first = dict(calls)
+        second = answer(program, database, "memo_once_t(2, Y)?")
+        assert calls["redundancy"] == after_first["redundancy"]
+        assert calls["graph"] == after_first["graph"]
+        assert calls["run"] == after_first["run"] + 1
+        assert second.provenance is first.provenance
+        assert second.answers == {(2, y) for y in range(3, 7)}
+
+    def test_explain_and_answer_share_one_analysis(self):
+        from repro import answer, explain
+        from repro.optimize import shared_optimizer
+
+        program, database = _unique_tc("memo_explain"), _chain_database("memo_explain")
+        plan = explain(program, "memo_explain_t(1, Y)?", database)
+        result = answer(program, database, "memo_explain_t(1, Y)?")
+        assert result.provenance is shared_optimizer().run(program, "memo_explain_t")
+        assert plan.rewrites == [str(rewrite) for rewrite in result.provenance.rewrites]
+
+    def test_reordered_equal_programs_get_their_own_entries(self):
+        from repro.datalog.rules import Program
+
+        program = _unique_tc("memo_order")
+        reordered = Program(tuple(reversed(program.rules)))
+        assert reordered == program  # Program equality ignores rule order
+        optimizer = Optimizer()
+        first = optimizer.run(program, "memo_order_t")
+        second = optimizer.run(reordered, "memo_order_t")
+        assert second is not first
+        assert len(optimizer._memo) == 2
+        assert first.original.rules == program.rules
+        assert second.original.rules == reordered.rules
+        assert optimizer.run(program, "memo_order_t") is first
+
+    def test_filling_past_the_bound_evicts_the_oldest(self, monkeypatch):
+        from repro.optimize import passes
+
+        assert passes.MEMO_SIZE == 256
+        monkeypatch.setattr(passes, "MEMO_SIZE", 3)
+        optimizer = Optimizer()
+        programs = [_unique_tc(f"memo_bound{index}") for index in range(5)]
+        results = []
+        for index, program in enumerate(programs):
+            results.append(optimizer.run(program, f"memo_bound{index}_t"))
+            assert len(optimizer._memo) <= 3
+        assert len(optimizer._memo) == 3
+        # the two oldest were evicted: a rerun analyzes afresh
+        assert optimizer.run(programs[0], "memo_bound0_t") is not results[0]
+        # the newest survived: a rerun is a hit
+        assert optimizer.run(programs[4], "memo_bound4_t") is results[4]
+        assert len(optimizer._memo) == 3
+
+    def test_program_errors_are_not_memoized(self):
+        from repro.datalog import ProgramError
+        from repro.optimize import OptimizationPass
+
+        class Failing(OptimizationPass):
+            calls = 0
+
+            def run(self, ctx):
+                Failing.calls += 1
+                raise ProgramError("always")
+
+        optimizer = Optimizer((Failing(),))
+        for expected in (1, 2):
+            with pytest.raises(ProgramError):
+                optimizer.run(transitive_closure(), "t")
+            assert Failing.calls == expected
+        assert len(optimizer._memo) == 0
+
+    def test_undefined_predicate_falls_through_to_seminaive_every_call(self):
+        from repro import answer
+
+        program, database = _unique_tc("memo_undef"), _chain_database("memo_undef")
+        for _ in range(2):
+            result = answer(program, database, "memo_undef_missing(1, Y)?")
+            assert result.strategy == "seminaive (auto)"
+            assert result.answers == set()
+
+    def test_threads_share_the_memo_through_evictions(self, monkeypatch):
+        import functools
+        import threading
+
+        from repro import answer
+        classify_module = importlib.import_module("repro.core.classify")
+        from repro.optimize import passes, shared_optimizer
+
+        bound = 4
+        monkeypatch.setattr(passes, "MEMO_SIZE", bound)
+        monkeypatch.setattr(
+            classify_module, "_classify_rule",
+            functools.lru_cache(maxsize=bound)(classify_module._classify_rule.__wrapped__),
+        )
+        tags = [f"memo_thread{index}" for index in range(3 * bound)]
+        cases = [(_unique_tc(tag), _chain_database(tag), tag) for tag in tags]
+        expected = {
+            (tag, start): {(start, end) for end in range(start + 1, 7)}
+            for tag in tags
+            for start in range(3)
+        }
+        errors = []
+        wrong = []
+
+        def worker(offset: int) -> None:
+            try:
+                for step in range(24):
+                    program, database, tag = cases[(offset + step) % len(cases)]
+                    start = (offset + step) % 3
+                    result = answer(program, database, f"{tag}_t({start}, Y)?")
+                    if result.answers != expected[(tag, start)]:
+                        wrong.append((tag, start, result.strategy))
+            except Exception as error:  # noqa: BLE001 - surfaced by the assertion below
+                errors.append(error)
+
+        threads = [threading.Thread(target=worker, args=(index * 5,)) for index in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert wrong == []
+        assert len(shared_optimizer()._memo) <= bound
+        assert classify_module._classify_rule.cache_info().currsize <= bound

@@ -127,7 +127,7 @@ class TestRemoval:
 
     def test_theorem_3_3_candidates_are_reported(self):
         result = remove_recursively_redundant(buys_unoptimized(), "buys")
-        assert result.theorem_3_3_candidates == ["cheap"]
+        assert result.theorem_3_3_candidates == ("cheap",)
 
     def test_removal_preserves_semantics_on_random_data(self, rng):
         program = buys_unoptimized()
